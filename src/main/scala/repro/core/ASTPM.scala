@@ -46,7 +46,9 @@ object ASTPM {
       j <- (i + 1) until ids.size
     } {
       val x = syb.series(i); val y = syb.series(j)
-      val minNmi = math.min(MutualInformation.nmi(x, y), MutualInformation.nmi(y, x))
+      // One joint table per pair; both NMI directions come from it, and
+      // each series' distribution is counted once across all its pairs.
+      val minNmi = MutualInformation.pairInfo(x, y).minNmi
       val mu = MutualInformation.muForSeriesPair(
         x, y, db.size, cfg.season.minSeason, cfg.season.minDensity)
       mus += ((x.id, y.id) -> mu)

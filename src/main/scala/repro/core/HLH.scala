@@ -78,9 +78,15 @@ final class HLHk(val k: Int) {
     ghk.getOrElse((p, granule), Vector.empty)
 
   /** Events participating in any candidate pattern at this level — the
-    * `FilteredF1` source for transitivity pruning (Lemma 4).
+    * `FilteredF1` source for transitivity pruning (Lemma 4). Candidacy is
+    * the maxSeason test on each pattern's support: with Apriori-like
+    * pruning off, `phk` also holds non-candidates, and the test keeps the
+    * transitivity flag meaningful on its own (the Trans-only ablation).
     */
-  def patternEvents: Set[Event] = phk.keysIterator.flatMap(_.events).toSet
+  def patternEvents(cfg: SeasonCfg): Set[Event] =
+    phk.iterator
+      .filter { case (_, sup) => Seasonality.isCandidate(sup.size, cfg) }
+      .flatMap(_._1.events).toSet
 
   def entryCount: Long =
     ehk.valuesIterator.map(g => g.support.size.toLong + g.patterns.size).sum +

@@ -7,6 +7,21 @@ final case class SymbolicSeries(id: String, symbols: Vector[String]) {
   require(symbols.nonEmpty, s"series $id is empty")
   def length: Int = symbols.size
   def alphabet: Vector[String] = symbols.distinct.sorted
+
+  /** Empirical symbol probabilities p(x), counted once on first use. */
+  lazy val distribution: Map[String, Double] = {
+    val counts = new java.util.HashMap[String, Array[Long]]()
+    val it = symbols.iterator
+    while (it.hasNext) {
+      val s = it.next()
+      val c = counts.get(s)
+      if (c == null) counts.put(s, Array(1L)) else c(0) += 1
+    }
+    val n = length.toDouble
+    val b = Map.newBuilder[String, Double]
+    counts.forEach((k, v) => b += (k -> v(0) / n))
+    b.result()
+  }
 }
 
 /** The symbolic database D_SYB (Def. 3.8): aligned symbolic series. */
@@ -20,6 +35,14 @@ final case class SymbolicDB(series: Vector[SymbolicSeries]) {
     .getOrElse(throw new NoSuchElementException(s"no series $id"))
 }
 
+/** I(X;Y) in bits and both normalized directions I(X;Y)/H(X) and
+  * I(X;Y)/H(Y) of one series pair (Eqs. 4–5).
+  */
+final case class PairInfo(mi: Double, nmiXY: Double, nmiYX: Double) {
+  /** The value Def. 5.4 compares with μ. */
+  def minNmi: Double = math.min(nmiXY, nmiYX)
+}
+
 /** Entropy / mutual information over symbolic series (Sec. V-A) and the
   * μ threshold of Corollary 1.1 (Eq. 14).
   */
@@ -27,20 +50,8 @@ object MutualInformation {
   private val Ln2 = math.log(2.0)
   private def log2(x: Double): Double = math.log(x) / Ln2
 
-  /** Empirical symbol probabilities p(x). */
-  def probs(x: SymbolicSeries): Map[String, Double] = {
-    val counts = new java.util.HashMap[String, Array[Long]]()
-    val it = x.symbols.iterator
-    while (it.hasNext) {
-      val s = it.next()
-      val c = counts.get(s)
-      if (c == null) counts.put(s, Array(1L)) else c(0) += 1
-    }
-    val n = x.length.toDouble
-    val b = Map.newBuilder[String, Double]
-    counts.forEach((k, v) => b += (k -> v(0) / n))
-    b.result()
-  }
+  /** Empirical symbol probabilities p(x), cached on the series. */
+  def probs(x: SymbolicSeries): Map[String, Double] = x.distribution
 
   /** Empirical joint probabilities p(x, y) over aligned positions. */
   def jointProbs(x: SymbolicSeries, y: SymbolicSeries): Map[(String, String), Double] = {
@@ -59,9 +70,11 @@ object MutualInformation {
     b.result()
   }
 
+  private def entropyOf(p: Map[String, Double]): Double =
+    -p.values.map(v => if (v > 0) v * log2(v) else 0.0).sum
+
   /** Shannon entropy H(X) in bits (Eq. 2). */
-  def entropy(x: SymbolicSeries): Double =
-    -probs(x).values.map(p => if (p > 0) p * log2(p) else 0.0).sum
+  def entropy(x: SymbolicSeries): Double = entropyOf(probs(x))
 
   /** Conditional entropy H(X|Y) in bits (Eq. 3). */
   def condEntropy(x: SymbolicSeries, y: SymbolicSeries): Double = {
@@ -71,21 +84,44 @@ object MutualInformation {
     }.sum
   }
 
-  /** Mutual information I(X;Y) in bits (Eq. 4). */
-  def mi(x: SymbolicSeries, y: SymbolicSeries): Double = {
-    val px = probs(x); val py = probs(y)
-    jointProbs(x, y).map { case ((xs, ys), pxy) =>
+  /** The one MI formula: I(X;Y) (Eq. 4) from a joint table p(x, y) and its
+    * marginals, normalized by H(X) and by H(Y) (Eq. 5). NMI is asymmetric;
+    * a constant side (H = 0) carries no information to reduce → 0.
+    */
+  def pairInfo(joint: Map[(String, String), Double],
+               px: Map[String, Double], py: Map[String, Double]): PairInfo = {
+    val i = joint.map { case ((xs, ys), pxy) =>
       if (pxy > 0) pxy * log2(pxy / (px(xs) * py(ys))) else 0.0
     }.sum
+    def normalized(h: Double) = if (h <= 0.0) 0.0 else math.max(0.0, i / h)
+    PairInfo(i, normalized(entropyOf(px)), normalized(entropyOf(py)))
   }
 
-  /** Normalized mutual information I(X;Y)/H(X) (Eq. 5). Asymmetric. A
-    * constant X (H = 0) carries no information to reduce → defined as 0.
+  /** [[pairInfo]] of two aligned series: one joint table per pair, the
+    * marginals read from each series' cached distribution.
     */
-  def nmi(x: SymbolicSeries, y: SymbolicSeries): Double = {
-    val h = entropy(x)
-    if (h <= 0.0) 0.0 else math.max(0.0, mi(x, y) / h)
+  def pairInfo(x: SymbolicSeries, y: SymbolicSeries): PairInfo =
+    pairInfo(jointProbs(x, y), probs(x), probs(y))
+
+  /** [[pairInfo]] from joint symbol counts (x, y) → n, e.g. aggregated by
+    * Spark SQL; the marginals are the table's row and column sums.
+    */
+  def pairInfoFromCounts(counts: Iterable[((String, String), Long)]): PairInfo = {
+    val total = counts.iterator.map(_._2).sum.toDouble
+    val joint = counts.iterator.map { case (xy, c) => xy -> c / total }.toMap
+    pairInfo(joint,
+      joint.groupMapReduce(_._1._1)(_._2)(_ + _),
+      joint.groupMapReduce(_._1._2)(_._2)(_ + _))
   }
+
+  /** Mutual information I(X;Y) in bits (Eq. 4). */
+  def mi(x: SymbolicSeries, y: SymbolicSeries): Double = pairInfo(x, y).mi
+
+  /** Normalized mutual information I(X;Y)/H(X) (Eq. 5). A constant X is 0
+    * whatever Y is, so no joint table is built for it.
+    */
+  def nmi(x: SymbolicSeries, y: SymbolicSeries): Double =
+    if (entropy(x) <= 0.0) 0.0 else pairInfo(x, y).nmiXY
 
   /** μ for one event pair (X1 ∈ X_S, Y1 ∈ Y_S) (Eq. 14, appendix form):
     * λ1 = min symbol probability of X_S, λ2 = p(Y1).
@@ -139,5 +175,5 @@ object MutualInformation {
 
   /** Correlation test (Def. 5.4): min of both NMI directions >= μ. */
   def correlated(x: SymbolicSeries, y: SymbolicSeries, mu: Double): Boolean =
-    math.min(nmi(x, y), nmi(y, x)) >= mu
+    pairInfo(x, y).minNmi >= mu
 }

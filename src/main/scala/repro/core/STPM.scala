@@ -38,6 +38,7 @@ final class MiningStats {
   val candidateGroups: mutable.LinkedHashMap[Int, Int] = mutable.LinkedHashMap.empty
   val candidatePatterns: mutable.LinkedHashMap[Int, Int] = mutable.LinkedHashMap.empty
   var relationChecks: Long = 0L
+  /** Occurrence tuples kept (every relation of the tuple passed). */
   var occurrences: Long = 0L
   var peakEntries: Long = 0L
 
@@ -55,15 +56,17 @@ final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningSt
 
 /** Result of mining one k-event group: its support set, candidate-or-not
   * patterns with their supports, occurrence tuples per (pattern, granule),
-  * and the relation-check count spent. Serializable — level-2 instances of
-  * this travel back from Spark executors (see [[repro.core.SparkSTPM]]).
+  * the relation checks spent and the occurrence tuples kept. Serializable —
+  * level-2 instances of this travel back from Spark executors (see
+  * [[repro.core.SparkSTPM]]).
   */
 final case class GroupMined(
     group: Vector[Event],
     sup: Vector[Int],
     patterns: Vector[(PatternKey, Vector[Int])],
     occs: Map[(PatternKey, Int), Vector[Vector[Instance]]],
-    checks: Long)
+    checks: Long,
+    tuples: Long)
 
 /** The exact Seasonal Temporal Pattern Mining algorithm (Algorithm 1). */
 object STPM {
@@ -143,7 +146,7 @@ object STPM {
     val hlhk = new HLHk(k)
     val f1 = hlh1.candidates
 
-    if (k == 2) {
+    val mined: Iterator[GroupMined] = if (k == 2) {
       // Cartesian F1 x F1 as canonical sorted pairs (self-pairs admitted —
       // the search-space derivation counts P(n,2)+n groups).
       val admitted = (for {
@@ -154,40 +157,31 @@ object STPM {
         sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
         if groupAdmitted(sup, cfg)
       } yield (e0, e1, sup)).toVector
-      val mined = level2Exec match {
-        case Some(exec) => exec(db, cfg, admitted)
-        case None => admitted.map { case (a, b, s) => minePairData(hlh1, a, b, s, cfg) }
-      }
-      for (gm <- mined) {
-        stats.relationChecks += gm.checks
-        stats.occurrences += gm.checks
-        commit(hlhk, gm, cfg)
+      level2Exec match {
+        case Some(exec) => exec(db, cfg, admitted).iterator
+        case None => admitted.iterator.map { case (a, b, s) => minePairData(hlh1, a, b, s, cfg) }
       }
     } else {
       val prev = prevOpt.get
       // Transitivity pruning (Lemma 4): only events appearing in
-      // *candidate* (k-1)-patterns may extend a group. When the Apriori
-      // flag is off, phk holds unfiltered patterns — apply the maxSeason
-      // candidacy test here so the transitivity flag stays meaningful on
-      // its own (the paper's Trans-only ablation variant).
+      // *candidate* (k-1)-patterns may extend a group.
       val filteredF1 =
         if (cfg.transitivity) {
-          val pe = prev.phk.iterator
-            .filter { case (_, sup) => Seasonality.isCandidate(sup.size, cfg.season) }
-            .flatMap(_._1.events).toSet
+          val pe = prev.patternEvents(cfg.season)
           f1.filter(pe.contains)
         } else f1
       for {
-        (group, entry) <- prev.ehk
-        ek <- filteredF1
+        (group, entry) <- prev.ehk.iterator
+        ek <- filteredF1.iterator
         if Event.ordering.gteq(ek, group.last) // canonical extension only
-      } {
-        val sup = intersectSorted(entry.support, hlh1.support(ek))
-        if (groupAdmitted(sup, cfg)) {
-          val gm = extendGroupData(hlh1, prev, group, entry, ek, sup, cfg, stats)
-          commit(hlhk, gm, cfg)
-        }
-      }
+        sup = intersectSorted(entry.support, hlh1.support(ek))
+        if groupAdmitted(sup, cfg)
+      } yield extendGroupData(hlh1, prev, group, entry, ek, sup, cfg)
+    }
+    for (gm <- mined) {
+      stats.relationChecks += gm.checks
+      stats.occurrences += gm.tuples
+      commit(hlhk, gm, cfg)
     }
     hlhk
   }
@@ -210,6 +204,7 @@ object STPM {
     val occ = mutable.HashMap.empty[(PatternKey, Int), mutable.ArrayBuffer[Vector[Instance]]]
     val self = e0 == e1
     var checks = 0L
+    var tuples = 0L
     for (g <- sup) {
       val as = hlh1.instancesAt(e0, g)
       val bs = hlh1.instancesAt(e1, g)
@@ -228,12 +223,13 @@ object STPM {
         val s = perPattern.getOrElseUpdate(key, mutable.ArrayBuffer.empty)
         if (s.isEmpty || s.last != g) s += g
         occ.getOrElseUpdate((key, g), mutable.ArrayBuffer.empty) += Vector(a, b)
+        tuples += 1
       }
     }
     GroupMined(Vector(e0, e1), sup,
       perPattern.iterator.map { case (p, s) => (p, s.toVector) }.toVector,
       occ.iterator.map { case (k, v) => (k, v.toVector) }.toMap,
-      checks)
+      checks, tuples)
   }
 
   /** Extend every candidate (k-1)-pattern of `group` with instances of `ek`
@@ -249,13 +245,13 @@ object STPM {
       entry: GroupEntry,
       ek: Event,
       sup: Vector[Int],
-      cfg: STPMConfig,
-      stats: MiningStats): GroupMined = {
+      cfg: STPMConfig): GroupMined = {
     val newGroup = group :+ ek
     val perPattern = mutable.LinkedHashMap.empty[PatternKey, mutable.ArrayBuffer[Int]]
     val occ = mutable.HashMap.empty[(PatternKey, Int), mutable.ArrayBuffer[Vector[Instance]]]
     val dupOfLast = ek == group.last
     var checks = 0L
+    var tuples = 0L
     for (g <- sup; p <- entry.patterns) {
       val pSup = prev.support(p)
       if (containsSorted(pSup, g)) {
@@ -288,16 +284,15 @@ object STPM {
             val supBuf = perPattern.getOrElseUpdate(key, mutable.ArrayBuffer.empty)
             if (supBuf.isEmpty || supBuf.last != g) supBuf += g
             occ.getOrElseUpdate((key, g), mutable.ArrayBuffer.empty) += (parent :+ ei)
-            stats.occurrences += 1
+            tuples += 1
           }
         }
       }
     }
-    stats.relationChecks += checks
     GroupMined(newGroup, sup,
       perPattern.iterator.map { case (p, s) => (p, s.toVector) }.toVector,
       occ.iterator.map { case (k, v) => (k, v.toVector) }.toMap,
-      checks)
+      checks, tuples)
   }
 
   /** Iterative check (Sec. 4.2.2): the oriented triple (rel, first, second)

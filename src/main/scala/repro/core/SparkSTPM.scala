@@ -12,8 +12,9 @@ import org.apache.spark.sql.functions._
   * single-node-parallelizable shape: the candidate 2-event pair list is
   * partitioned and mined inside `mapPartitions` against a broadcast D_SEQ,
   * each partition running the same pruned STPM kernel; levels k >= 3
-  * proceed on the driver over the merged HLH2. MI for A-STPM is computed
-  * with Spark SQL aggregations over D_SYB.
+  * proceed on the driver over the merged HLH2. For A-STPM's MI, Spark SQL
+  * aggregates the joint symbol counts over D_SYB and
+  * [[MutualInformation]] turns them into NMI.
   */
 object SparkSTPM {
 
@@ -29,16 +30,15 @@ object SparkSTPM {
     }.toDF("series", "pos", "value")
   }
 
-  /** Symbolize raw values with per-series ascending cut points (Def. 3.7):
-    * symbol = number of cuts at or below the value, as a string.
+  /** Symbolize raw values with per-series ascending cut points (Def. 3.7)
+    * by [[Symbolizer.symbolOf]]. Every series' cuts are checked on the
+    * driver before any job runs.
     */
   def symbolize(raw: DataFrame, cutsBySeries: Map[String, Vector[Double]]): DataFrame = {
+    for ((series, cuts) <- cutsBySeries) Symbolizer.checkCuts(cuts, s"cut points of series $series")
     val enc = udf { (series: String, value: Double) =>
-      val cuts = cutsBySeries.getOrElse(series,
-        throw new NoSuchElementException(s"no cuts for series $series"))
-      var i = 0
-      while (i < cuts.size && value >= cuts(i)) i += 1
-      i.toString
+      Symbolizer.symbolOf(value, cutsBySeries.getOrElse(series,
+        throw new NoSuchElementException(s"no cuts for series $series")))
     }
     raw.select(col("series"), col("pos"), enc(col("series"), col("value")).as("symbol"))
   }
@@ -106,28 +106,18 @@ object SparkSTPM {
       .agg(count(lit(1)).as("cnt"))
   }
 
-  /** Both NMI directions per series pair from the Spark joint counts.
-    * Key (sx, sy) with sx < sy maps to (nmi(x;y), nmi(y;x)).
+  /** Both NMI directions per series pair from the Spark joint counts,
+    * through [[MutualInformation.pairInfoFromCounts]]. Key (sx, sy) with
+    * sx < sy maps to (nmi(x;y), nmi(y;x)).
     */
-  def nmiMatrix(sym: DataFrame): Map[(String, String), (Double, Double)] = {
-    val rows = jointCounts(sym).collect()
-      .map(r => ((r.getString(0), r.getString(1)), (r.getString(2), r.getString(3)), r.getLong(4)))
-    rows.groupBy(_._1).map { case (pair, cells) =>
-      val total = cells.map(_._3).sum.toDouble
-      val joint = cells.map { case (_, (x, y), c) => ((x, y), c / total) }.toMap
-      val px = joint.groupBy(_._1._1).map { case (x, m) => x -> m.values.sum }
-      val py = joint.groupBy(_._1._2).map { case (y, m) => y -> m.values.sum }
-      def entropy(p: Map[String, Double]) =
-        -p.values.map(v => if (v > 0) v * math.log(v) / math.log(2) else 0.0).sum
-      val mi = joint.map { case ((x, y), pxy) =>
-        if (pxy > 0) pxy * math.log(pxy / (px(x) * py(y))) / math.log(2) else 0.0
-      }.sum
-      val hx = entropy(px); val hy = entropy(py)
-      val fwd = if (hx <= 0) 0.0 else math.max(0.0, mi / hx)
-      val bwd = if (hy <= 0) 0.0 else math.max(0.0, mi / hy)
-      pair -> (fwd, bwd)
-    }
-  }
+  def nmiMatrix(sym: DataFrame): Map[(String, String), (Double, Double)] =
+    jointCounts(sym).collect()
+      .groupBy(r => (r.getString(0), r.getString(1)))
+      .map { case (pair, cells) =>
+        val info = MutualInformation.pairInfoFromCounts(
+          cells.map(r => ((r.getString(2), r.getString(3)), r.getLong(4))))
+        pair -> (info.nmiXY, info.nmiYX)
+      }
 
   // ------------------------------------------------------------------
   // Phase 2 — distributed mining

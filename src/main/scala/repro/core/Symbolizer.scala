@@ -8,23 +8,32 @@ package repro.core
   * - [[Symbolizer.quantiles]]: SAX-style equi-depth binning computed from
   *   the series itself (Lin et al. 2003, as cited in Def. 3.7).
   *
-  * Symbols are "0", "1", ... in ascending value order.
+  * Symbols are "0", "1", ... in ascending value order. [[symbolOf]] is the
+  * one per-value rule; the local kernel and the Spark pipeline both call it.
   */
 object Symbolizer {
 
-  /** Encode with explicit cut points: value < cuts(0) → "0", value in
-    * [cuts(i-1), cuts(i)) → "i", value >= last cut → cuts.size as symbol.
-    */
-  def thresholds(values: Vector[Double], cuts: Vector[Double]): Vector[String] = {
+  /** Fail fast unless `cuts` is non-empty and strictly ascending. */
+  def checkCuts(cuts: Vector[Double], what: => String = "cut points"): Unit =
     require(cuts.nonEmpty && cuts.sliding(2).forall {
       case Seq(a, b) => a < b
       case _         => true
-    }, "cut points must be non-empty and strictly ascending")
-    values.map { v =>
-      var i = 0
-      while (i < cuts.size && v >= cuts(i)) i += 1
-      i.toString
-    }
+    }, s"$what must be non-empty and strictly ascending")
+
+  /** The symbol of one value: the number of cuts at or below it. Value <
+    * cuts(0) → "0", value in [cuts(i-1), cuts(i)) → "i", value >= last cut
+    * → cuts.size. `cuts` must have passed [[checkCuts]].
+    */
+  def symbolOf(value: Double, cuts: Vector[Double]): String = {
+    var i = 0
+    while (i < cuts.size && value >= cuts(i)) i += 1
+    i.toString
+  }
+
+  /** Encode with explicit cut points (see [[symbolOf]]). */
+  def thresholds(values: Vector[Double], cuts: Vector[Double]): Vector[String] = {
+    checkCuts(cuts)
+    values.map(symbolOf(_, cuts))
   }
 
   /** Equi-depth cut points for an `alpha`-symbol alphabet (SAX-like, but on

@@ -7,8 +7,8 @@ import TableResult.pct
 
 /** Experiment runners — one per evaluation table of the paper (DESIGN.md
   * §3). Each returns a [[TableResult]]; the bench suites print them and
-  * `jobs/` wraps them for spark-submit. All runs are deterministic in the
-  * generator seeds.
+  * `repro.jobs.Main` runs them under spark-submit. All runs are
+  * deterministic in the generator seeds.
   */
 object Experiments {
 

@@ -46,7 +46,7 @@ class HLHSpec extends AnyFunSuite {
     val h1 = HLH1.build(db, cfg, apriori = true)
     val stats = new MiningStats
     val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
-    val pe = h2.patternEvents
+    val pe = h2.patternEvents(cfg)
     assert(pe.nonEmpty)
     assert(pe.subsetOf(h1.candidates.toSet))
     for (p <- h2.patterns; e <- p.events) assert(pe.contains(e))

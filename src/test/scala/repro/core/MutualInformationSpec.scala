@@ -69,7 +69,9 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(gen, gen) { (xs, ys) =>
       val x = SymbolicSeries("X", xs); val y = SymbolicSeries("Y", ys)
       val i = mi(x, y)
-      i >= -Tol && i <= math.min(entropy(x), entropy(y)) + Tol
+      val pair = pairInfo(x, y)
+      i >= -Tol && i <= math.min(entropy(x), entropy(y)) + Tol &&
+        math.abs(pair.nmiXY - nmi(x, y)) <= 1e-12 && math.abs(pair.nmiYX - nmi(y, x)) <= 1e-12
     }, minTests = 50)
   }
 

@@ -35,6 +35,11 @@ class SparkSTPMSpec extends SparkSpec {
       assert(sparkSyms((s.id, i + 1)) == sym, s"series ${s.id} pos ${i + 1}")
   }
 
+  test("symbolize rejects descending or empty cuts before any job runs") {
+    for (bad <- Seq(Vector(2.0, 1.0), Vector.empty[Double]))
+      intercept[IllegalArgumentException](SparkSTPM.symbolize(rawDf, cuts.updated(cuts.keys.min, bad)))
+  }
+
   test("oracle: symbol histogram per series matches DuckDB") {
     val agg = symDf.groupBy("series", "symbol").agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(agg,
