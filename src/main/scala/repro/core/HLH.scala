@@ -2,6 +2,12 @@ package repro.core
 
 import scala.collection.mutable
 
+/** An HLH level as extension (Sec. 4.2.2) reads it; HLH1 is level 1. */
+trait HLHLevel {
+  def support(p: PatternKey): Vector[Int]
+  def occurrencesAt(p: PatternKey, granule: Int): Vector[Vector[Instance]]
+}
+
 /** Hierarchical lookup hash structure for single events (Sec. IV-C, Fig. 4).
   *
   * - `eh` (single event hash table): candidate event → support set (sorted
@@ -9,7 +15,7 @@ import scala.collection.mutable
   * - `gh` (event granule hash table): candidate event → granule → its
   *   instances in that granule.
   */
-final class HLH1 {
+final class HLH1 extends HLHLevel with Serializable {
   val eh: mutable.LinkedHashMap[Event, Vector[Int]] = mutable.LinkedHashMap.empty
   val gh: mutable.HashMap[Event, Map[Int, Vector[Instance]]] = mutable.HashMap.empty
 
@@ -20,6 +26,9 @@ final class HLH1 {
   def support(e: Event): Vector[Int] = eh.getOrElse(e, Vector.empty)
   def instancesAt(e: Event, granule: Int): Vector[Instance] =
     gh.get(e).flatMap(_.get(granule)).getOrElse(Vector.empty)
+  def support(p: PatternKey): Vector[Int] = support(p.events.head)
+  def occurrencesAt(p: PatternKey, granule: Int): Vector[Vector[Instance]] =
+    instancesAt(p.events.head, granule).map(Vector(_))
 
   /** Total stored entries — a machine-independent memory proxy. */
   def entryCount: Long =
@@ -64,9 +73,9 @@ final case class GroupEntry(support: Vector[Int], patterns: Vector[PatternKey])
   * - `phk` (pattern hash table): candidate pattern → support set.
   * - `ghk` (pattern granule hash table): (pattern, granule) → occurrence
   *   instance tuples (aligned to the pattern's slots) from which its
-  *   relations were formed.
+  *   relations were formed; empty at level maxK, which nothing extends.
   */
-final class HLHk(val k: Int) {
+final class HLHk(val k: Int) extends HLHLevel {
   val ehk: mutable.LinkedHashMap[Vector[Event], GroupEntry] = mutable.LinkedHashMap.empty
   val phk: mutable.LinkedHashMap[PatternKey, Vector[Int]] = mutable.LinkedHashMap.empty
   val ghk: mutable.HashMap[(PatternKey, Int), Vector[Vector[Instance]]] = mutable.HashMap.empty
@@ -77,8 +86,8 @@ final class HLHk(val k: Int) {
   def occurrencesAt(p: PatternKey, granule: Int): Vector[Vector[Instance]] =
     ghk.getOrElse((p, granule), Vector.empty)
 
-  /** Events participating in any candidate pattern at this level — the
-    * `FilteredF1` source for transitivity pruning (Lemma 4). Candidacy is
+  /** Events participating in any candidate pattern at this level — at
+    * level 2, the `FilteredF1` source of transitivity pruning. Candidacy is
     * the maxSeason test on each pattern's support: with Apriori-like
     * pruning off, `phk` also holds non-candidates, and the test keeps the
     * transitivity flag meaningful on its own (the Trans-only ablation).

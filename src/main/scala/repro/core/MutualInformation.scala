@@ -118,10 +118,11 @@ object MutualInformation {
   def mi(x: SymbolicSeries, y: SymbolicSeries): Double = pairInfo(x, y).mi
 
   /** Normalized mutual information I(X;Y)/H(X) (Eq. 5). A constant X is 0
-    * whatever Y is, so no joint table is built for it.
+    * whatever Y is, so no joint table is built for it; misaligned series
+    * still reach [[jointProbs]], which rejects them.
     */
   def nmi(x: SymbolicSeries, y: SymbolicSeries): Double =
-    if (entropy(x) <= 0.0) 0.0 else pairInfo(x, y).nmiXY
+    if (x.length == y.length && entropy(x) <= 0.0) 0.0 else pairInfo(x, y).nmiXY
 
   /** μ for one event pair (X1 ∈ X_S, Y1 ∈ Y_S) (Eq. 14, appendix form):
     * λ1 = min symbol probability of X_S, λ2 = p(Y1).

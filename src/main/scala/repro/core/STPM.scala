@@ -30,9 +30,11 @@ final case class FrequentPattern(
 }
 
 /** Work counters — runtime- and machine-independent effort measures used by
-  * the benches alongside wall-clock time.
+  * the benches alongside wall-clock time. `peakEntries` counts the HLH
+  * entries of HLH1 and level 2 plus those of the largest level-2 group's
+  * subtree.
   */
-final class MiningStats {
+final class MiningStats extends Serializable {
   var totalEvents: Int = 0
   var candidateEvents: Int = 0
   val candidateGroups: mutable.LinkedHashMap[Int, Int] = mutable.LinkedHashMap.empty
@@ -42,7 +44,8 @@ final class MiningStats {
   var occurrences: Long = 0L
   var peakEntries: Long = 0L
 
-  def noteEntries(n: Long): Unit = if (n > peakEntries) peakEntries = n
+  /** Add a mined group's checks and kept tuples. */
+  def tally(gm: GroupMined): GroupMined = { relationChecks += gm.checks; occurrences += gm.tuples; gm }
   override def toString: String =
     s"events=$candidateEvents/$totalEvents groups=${candidateGroups.toMap} " +
       s"patterns=${candidatePatterns.toMap} relChecks=$relationChecks " +
@@ -56,9 +59,7 @@ final case class MiningResult(frequent: Vector[FrequentPattern], stats: MiningSt
 
 /** Result of mining one k-event group: its support set, candidate-or-not
   * patterns with their supports, occurrence tuples per (pattern, granule),
-  * the relation checks spent and the occurrence tuples kept. Serializable —
-  * level-2 instances of this travel back from Spark executors (see
-  * [[repro.core.SparkSTPM]]).
+  * the relation checks spent and the occurrence tuples kept.
   */
 final case class GroupMined(
     group: Vector[Event],
@@ -68,16 +69,21 @@ final case class GroupMined(
     checks: Long,
     tuples: Long)
 
-/** The exact Seasonal Temporal Pattern Mining algorithm (Algorithm 1). */
-object STPM {
+/** What the subtree of every level-2 group reads besides that group's own
+  * occurrences: HLH1, the level-2 pattern table `phk2` of the iterative
+  * check, and FilteredF1. Serializable — the Spark path broadcasts it.
+  */
+private[repro] final case class SubtreeInputs(
+    hlh1: HLH1, phk2: Map[PatternKey, Vector[Int]], filteredF1: Vector[Event], cfg: STPMConfig)
 
-  /** Pluggable execution of the level-2 workload: given the database, the
-    * config and the admitted (e0, e1, support) pair list, return each
-    * group's mining result *in input order*. The default runs inline; the
-    * Spark variant fans the list out with `mapPartitions`.
-    */
-  private[repro] type Level2Exec =
-    (SeqDB, STPMConfig, Vector[(Event, Event, Vector[Int])]) => Vector[GroupMined]
+/** The exact Seasonal Temporal Pattern Mining algorithm (Algorithm 1).
+  *
+  * Levels 1 and 2 are mined over the whole database. Each k-event group,
+  * k >= 3, grows from one (k-1)-group, its canonical prefix, so the rest
+  * splits into one independent subtree per level-2 group; the local path
+  * and Spark tasks both mine them with [[mineSubtree]].
+  */
+object STPM {
 
   /** Mine all frequent seasonal temporal patterns of length <= cfg.maxK. */
   def mine(db: SeqDB, cfg: STPMConfig): MiningResult =
@@ -92,12 +98,22 @@ object STPM {
       db: SeqDB,
       cfg: STPMConfig,
       seriesFilter: Option[String => Boolean],
-      pairFilter: Option[(String, String) => Boolean],
-      level2Exec: Option[Level2Exec] = None): MiningResult = {
+      pairFilter: Option[(String, String) => Boolean]): MiningResult = {
+    val (top, in, level2) = mineTop(db, cfg, seriesFilter, pairFilter)
+    merge(top, level2.groups.iterator.map(root => mineSubtree(in, level2, root)))
+  }
+
+  /** Levels 1 and 2 (Alg. 1 lines 1–9, then lines 10–23 for k = 2): their
+    * frequent patterns and counters, what every subtree reads, and HLH_2,
+    * whose groups are the subtree roots.
+    */
+  private[repro] def mineTop(
+      db: SeqDB,
+      cfg: STPMConfig,
+      seriesFilter: Option[String => Boolean],
+      pairFilter: Option[(String, String) => Boolean]): (MiningResult, SubtreeInputs, HLHk) = {
     val stats = new MiningStats
     val frequent = Vector.newBuilder[FrequentPattern]
-
-    // Step 2.1 — frequent seasonal single events (Alg. 1 lines 1–9).
     stats.totalEvents = db.allEvents.size
     val hlh1 = HLH1.build(db, cfg.season, cfg.apriori)
     for (f <- seriesFilter; e <- hlh1.eh.keysIterator.toVector if !f(e.series)) {
@@ -106,84 +122,98 @@ object STPM {
     stats.candidateEvents = hlh1.eh.size
     for ((e, sup) <- hlh1.eh; seasons <- Seasonality.frequentSeasons(sup, cfg.season))
       frequent += FrequentPattern(PatternKey.single(e), sup, seasons)
-    stats.noteEntries(hlh1.entryCount)
 
-    // Step 2.2 — frequent seasonal k-event patterns (Alg. 1 lines 10–23).
-    var prev: Option[HLHk] = None
-    var k = 2
-    var exhausted = false
-    while (k <= cfg.maxK && !exhausted) {
-      // The pair filter applies at level 2 only — A-STPM mines k >= 3
-      // exactly (Alg. 2 lines 9–10).
-      val hlhk = mineLevel(db, hlh1, prev, k, cfg, stats,
-        pairFilter = if (k == 2) pairFilter else None,
-        level2Exec = level2Exec)
-      stats.candidateGroups.update(k, hlhk.ehk.size)
-      stats.candidatePatterns.update(k, hlhk.phk.size)
-      stats.noteEntries(hlh1.entryCount + prev.map(_.entryCount).getOrElse(0L) + hlhk.entryCount)
-      for ((p, sup) <- hlhk.phk; seasons <- Seasonality.frequentSeasons(sup, cfg.season))
-        frequent += FrequentPattern(p, sup, seasons)
-      exhausted = hlhk.phk.isEmpty
-      prev = Some(hlhk)
-      k += 1
-    }
-    MiningResult(frequent.result(), stats)
-  }
-
-  /** Mine one HLH level: candidate k-event groups (Sec. 4.1) and candidate
-    * k-event patterns (Sec. 4.2).
-    */
-  private[core] def mineLevel(
-      db: SeqDB,
-      hlh1: HLH1,
-      prevOpt: Option[HLHk],
-      k: Int,
-      cfg: STPMConfig,
-      stats: MiningStats,
-      pairFilter: Option[(String, String) => Boolean],
-      level2Exec: Option[Level2Exec] = None): HLHk = {
-    require((k == 2) == prevOpt.isEmpty, "level k>2 requires the previous level")
-    val hlhk = new HLHk(k)
     val f1 = hlh1.candidates
-
-    val mined: Iterator[GroupMined] = if (k == 2) {
+    val level2 = new HLHk(2)
+    if (cfg.maxK >= 2) {
       // Cartesian F1 x F1 as canonical sorted pairs (self-pairs admitted —
-      // the search-space derivation counts P(n,2)+n groups).
-      val admitted = (for {
-        i <- f1.indices.iterator
-        j <- (i until f1.size).iterator
+      // the search-space derivation counts P(n,2)+n groups). The pair
+      // filter applies here only: A-STPM mines k >= 3 exactly.
+      for {
+        i <- f1.indices
+        j <- i until f1.size
         e0 = f1(i); e1 = f1(j)
         if pairFilter.forall(f => f(e0.series, e1.series))
         sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
         if groupAdmitted(sup, cfg)
-      } yield (e0, e1, sup)).toVector
-      level2Exec match {
-        case Some(exec) => exec(db, cfg, admitted).iterator
-        case None => admitted.iterator.map { case (a, b, s) => minePairData(hlh1, a, b, s, cfg) }
-      }
-    } else {
-      val prev = prevOpt.get
-      // Transitivity pruning (Lemma 4): only events appearing in
-      // *candidate* (k-1)-patterns may extend a group.
-      val filteredF1 =
-        if (cfg.transitivity) {
-          val pe = prev.patternEvents(cfg.season)
-          f1.filter(pe.contains)
-        } else f1
-      for {
-        (group, entry) <- prev.ehk.iterator
-        ek <- filteredF1.iterator
-        if Event.ordering.gteq(ek, group.last) // canonical extension only
-        sup = intersectSorted(entry.support, hlh1.support(ek))
-        if groupAdmitted(sup, cfg)
-      } yield extendGroupData(hlh1, prev, group, entry, ek, sup, cfg)
+      } commit(level2, stats.tally(minePairData(hlh1, e0, e1, sup, cfg)), cfg, keepOccs = cfg.maxK > 2)
+      noteLevel(level2, cfg, stats, frequent)
     }
-    for (gm <- mined) {
-      stats.relationChecks += gm.checks
-      stats.occurrences += gm.tuples
-      commit(hlhk, gm, cfg)
+    stats.peakEntries = hlh1.entryCount + level2.entryCount
+    // Transitivity pruning (Lemma 4): only events of candidate 2-patterns
+    // extend a group. They include every event of a candidate k-pattern,
+    // so the one filter is sound at every k >= 3.
+    val filteredF1 =
+      if (cfg.transitivity) { val pe = level2.patternEvents(cfg.season); f1.filter(pe.contains) }
+      else f1
+    (MiningResult(frequent.result(), stats), SubtreeInputs(hlh1, level2.phk.toMap, filteredF1, cfg), level2)
+  }
+
+  /** Mine the subtree of the level-2 group `root`, levels 3..maxK, a level
+    * at a time; of `level2` only the root's entry and occurrences are read.
+    * The result's peak entries are those of all the subtree's levels.
+    */
+  private[repro] def mineSubtree(in: SubtreeInputs, level2: HLHk, root: Vector[Event]): MiningResult = {
+    val stats = new MiningStats
+    val frequent = Vector.newBuilder[FrequentPattern]
+    var level = level2
+    var groups: Iterable[(Vector[Event], GroupEntry)] = Seq(root -> level2.ehk(root))
+    while (level.k < in.cfg.maxK && groups.nonEmpty) {
+      level = extendLevel(in, level, groups, stats)
+      noteLevel(level, in.cfg, stats, frequent)
+      stats.peakEntries += level.entryCount
+      groups = level.ehk
     }
-    hlhk
+    MiningResult(frequent.result(), stats)
+  }
+
+  /** Extend `groups` of level `prev` by one FilteredF1 event each into the
+    * next level. Occurrences are stored only below level maxK.
+    */
+  private[core] def extendLevel(
+      in: SubtreeInputs,
+      prev: HLHk,
+      groups: Iterable[(Vector[Event], GroupEntry)],
+      stats: MiningStats): HLHk = {
+    val next = new HLHk(prev.k + 1)
+    for {
+      (group, entry) <- groups
+      ek <- in.filteredF1
+      if Event.ordering.gteq(ek, group.last) // canonical extension only
+      sup = intersectSorted(entry.support, in.hlh1.support(ek))
+      if groupAdmitted(sup, in.cfg)
+    } commit(next, stats.tally(extendGroupData(in, prev, group, entry, ek, sup)), in.cfg,
+      keepOccs = next.k < in.cfg.maxK)
+    next
+  }
+
+  /** Levels 1–2 followed by the subtrees of the level-2 groups, in `ehk`
+    * order. Counters add up per level; the peak entries add the largest
+    * subtree's. Frequent patterns are ordered by level.
+    */
+  private[repro] def merge(top: MiningResult, subtrees: Iterator[MiningResult]): MiningResult = {
+    val stats = top.stats
+    val frequent = Vector.newBuilder[FrequentPattern] ++= top.frequent
+    var largest = 0L
+    for (MiningResult(f, s) <- subtrees) {
+      frequent ++= f
+      for ((k, n) <- s.candidateGroups) stats.candidateGroups(k) = stats.candidateGroups.getOrElse(k, 0) + n
+      for ((k, n) <- s.candidatePatterns) stats.candidatePatterns(k) = stats.candidatePatterns.getOrElse(k, 0) + n
+      stats.relationChecks += s.relationChecks
+      stats.occurrences += s.occurrences
+      largest = math.max(largest, s.peakEntries)
+    }
+    stats.peakEntries += largest
+    MiningResult(frequent.result().sortBy(_.k), stats)
+  }
+
+  /** Count a finished level and collect its frequent patterns. */
+  private def noteLevel(level: HLHk, cfg: STPMConfig, stats: MiningStats,
+                        frequent: mutable.Growable[FrequentPattern]): Unit = {
+    stats.candidateGroups(level.k) = level.ehk.size
+    stats.candidatePatterns(level.k) = level.phk.size
+    for ((p, sup) <- level.phk; seasons <- Seasonality.frequentSeasons(sup, cfg.season))
+      frequent += FrequentPattern(p, sup, seasons)
   }
 
   /** Candidate k-event group test: maxSeason >= minSeason when Apriori-like
@@ -192,60 +222,32 @@ object STPM {
   private def groupAdmitted(sup: Vector[Int], cfg: STPMConfig): Boolean =
     if (cfg.apriori) Seasonality.isCandidate(sup.size, cfg.season) else sup.nonEmpty
 
-  /** Mine candidate 2-event patterns of group (e0, e1) (Sec. 4.2.1) into a
-    * serializable result. Pure w.r.t. its inputs — safe on executors.
+  /** Mine candidate 2-event patterns of group (e0, e1) (Sec. 4.2.1): the
+    * single-event group e0 of HLH1 extended by e1. Pure w.r.t. its inputs —
+    * safe on executors.
     */
   private[repro] def minePairData(
       hlh1: HLH1,
       e0: Event, e1: Event,
       sup: Vector[Int],
-      cfg: STPMConfig): GroupMined = {
-    val perPattern = mutable.LinkedHashMap.empty[PatternKey, mutable.ArrayBuffer[Int]]
-    val occ = mutable.HashMap.empty[(PatternKey, Int), mutable.ArrayBuffer[Vector[Instance]]]
-    val self = e0 == e1
-    var checks = 0L
-    var tuples = 0L
-    for (g <- sup) {
-      val as = hlh1.instancesAt(e0, g)
-      val bs = hlh1.instancesAt(e1, g)
-      for {
-        a <- as
-        b <- bs
-        if a != b
-        // For self-pairs enumerate unordered instance pairs once.
-        if !self || Instance.ordering.lt(a, b)
-      } {
-        checks += 1
-        val (first, _, rel) = Relations.orientAndRelate(a, b, cfg.rel)
-        // For self-pairs the two slots are interchangeable — the flag
-        // carries no information and is canonicalized to true.
-        val key = PatternKey(Vector(e0, e1), Vector((rel, self || first == a)))
-        val s = perPattern.getOrElseUpdate(key, mutable.ArrayBuffer.empty)
-        if (s.isEmpty || s.last != g) s += g
-        occ.getOrElseUpdate((key, g), mutable.ArrayBuffer.empty) += Vector(a, b)
-        tuples += 1
-      }
-    }
-    GroupMined(Vector(e0, e1), sup,
-      perPattern.iterator.map { case (p, s) => (p, s.toVector) }.toVector,
-      occ.iterator.map { case (k, v) => (k, v.toVector) }.toMap,
-      checks, tuples)
-  }
+      cfg: STPMConfig): GroupMined =
+    extendGroupData(SubtreeInputs(hlh1, Map.empty, Vector.empty, cfg), hlh1,
+      Vector(e0), GroupEntry(hlh1.support(e0), Vector(PatternKey.single(e0))), e1, sup)
 
   /** Extend every candidate (k-1)-pattern of `group` with instances of `ek`
     * (Sec. 4.2.2): for each granule in the group's support, each stored
     * occurrence grows by one instance; the new slot-pair relations are
     * appended, iteratively checked against candidate 2-patterns when
-    * transitivity pruning is on.
+    * transitivity pruning is on and k >= 3.
     */
   private def extendGroupData(
-      hlh1: HLH1,
-      prev: HLHk,
+      in: SubtreeInputs,
+      prev: HLHLevel,
       group: Vector[Event],
       entry: GroupEntry,
       ek: Event,
-      sup: Vector[Int],
-      cfg: STPMConfig): GroupMined = {
+      sup: Vector[Int]): GroupMined = {
+    val cfg = in.cfg
     val newGroup = group :+ ek
     val perPattern = mutable.LinkedHashMap.empty[PatternKey, mutable.ArrayBuffer[Int]]
     val occ = mutable.HashMap.empty[(PatternKey, Int), mutable.ArrayBuffer[Vector[Instance]]]
@@ -256,7 +258,7 @@ object STPM {
       val pSup = prev.support(p)
       if (containsSorted(pSup, g)) {
         val parents = prev.occurrencesAt(p, g)
-        val eks = hlh1.instancesAt(ek, g)
+        val eks = in.hlh1.instancesAt(ek, g)
         for {
           parent <- parents
           ei <- eks
@@ -272,8 +274,7 @@ object STPM {
             checks += 1
             val a = parent(s)
             val (first, second, rel) = Relations.orientAndRelate(a, ei, cfg.rel)
-            ok = !cfg.transitivity ||
-              pairIsCandidate(newGroup.size, prev, hlh1, first, second, rel, cfg)
+            ok = !cfg.transitivity || newGroup.size == 2 || pairIsCandidate(newGroup.size, in, first, second, rel)
             // Same-event slot pairs canonicalize to flag = true (relations
             // are between events; instance order carries no identity).
             newRels += ((rel, a.event == ei.event || first == a))
@@ -296,37 +297,27 @@ object STPM {
   }
 
   /** Iterative check (Sec. 4.2.2): the oriented triple (rel, first, second)
-    * must exist as a candidate 2-event pattern. At level 3 the previous
-    * level *is* level 2; beyond that we conservatively re-derive the pair's
-    * support from HLH1 and test maxSeason — sound for any k.
+    * must exist as a candidate 2-event pattern of `phk2`. The orientation
+    * flag tells which slot held the chronologically first instance
+    * (self-pairs: true); under apriori = off `phk2` is unfiltered, so
+    * candidacy is re-checked on its support. Beyond level 3 we
+    * conservatively re-derive the pair's support from HLH1 — sound for any k.
     */
-  private def pairIsCandidate(
-      k: Int,
-      prev: HLHk,
-      hlh1: HLH1,
-      first: Instance, second: Instance, rel: Rel,
-      cfg: STPMConfig): Boolean = {
+  private def pairIsCandidate(k: Int, in: SubtreeInputs, first: Instance, second: Instance, rel: Rel): Boolean = {
     val (e0, e1) = if (Event.ordering.lteq(first.event, second.event))
       (first.event, second.event) else (second.event, first.event)
-    if (k == 3) {
-      // Orientation flag: which slot held the chronologically first
-      // instance; self-pairs are always stored with flag = true. The
-      // triple must exist as a *candidate* 2-pattern — under apriori = off
-      // phk is unfiltered, so candidacy is re-checked on its support.
-      val flag = first.event == second.event || first.event == e0
-      val key = PatternKey(Vector(e0, e1), Vector((rel, flag)))
-      prev.phk.get(key).exists(sup => Seasonality.isCandidate(sup.size, cfg.season))
-    } else {
-      // Deeper levels: group-level candidate test (cheaper, still sound).
-      val sup = intersectSorted(hlh1.support(e0), hlh1.support(e1))
-      Seasonality.isCandidate(sup.size, cfg.season)
-    }
+    val sup =
+      if (k > 3) intersectSorted(in.hlh1.support(e0), in.hlh1.support(e1))
+      else in.phk2.getOrElse(PatternKey(Vector(e0, e1), Vector((rel, first.event == second.event || first.event == e0))),
+        Vector.empty)
+    Seasonality.isCandidate(sup.size, in.cfg.season)
   }
 
   /** Store a mined group into HLH_k, applying the maxSeason filter on its
-    * patterns (Apriori-like pruning).
+    * patterns (Apriori-like pruning). Occurrences are stored only when
+    * `keepOccs`, i.e. when a next level will extend them.
     */
-  private[repro] def commit(hlhk: HLHk, gm: GroupMined, cfg: STPMConfig): Unit = {
+  private[repro] def commit(hlhk: HLHk, gm: GroupMined, cfg: STPMConfig, keepOccs: Boolean): Unit = {
     val byKey = gm.patterns.toMap
     val kept = gm.patterns.iterator.filter { case (_, s) =>
       if (cfg.apriori) Seasonality.isCandidate(s.size, cfg.season) else s.nonEmpty
@@ -335,7 +326,7 @@ object STPM {
       hlhk.ehk.update(gm.group, GroupEntry(gm.sup, kept))
       for (p <- kept) {
         hlhk.phk.update(p, byKey(p))
-        for (g <- byKey(p))
+        if (keepOccs) for (g <- byKey(p))
           hlhk.ghk.update((p, g), gm.occs((p, g)))
       }
     }

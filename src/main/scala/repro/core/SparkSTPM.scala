@@ -8,11 +8,11 @@ import org.apache.spark.sql.functions._
   *
   * Phase 1 (data transformation) runs as Catalyst DataFrame transforms:
   * symbolization → granule assignment → per-(series, granule) run-length
-  * encoding into event instances. Phase 2 parallelism follows the
-  * single-node-parallelizable shape: the candidate 2-event pair list is
-  * partitioned and mined inside `mapPartitions` against a broadcast D_SEQ,
-  * each partition running the same pruned STPM kernel; levels k >= 3
-  * proceed on the driver over the merged HLH2. For A-STPM's MI, Spark SQL
+  * encoding into event instances. Phase 2 mines levels 1–2 on the driver,
+  * then spreads the subtrees of the level-2 groups (levels 3..maxK) over
+  * `mapPartitions`: each task runs [[STPM.mineSubtree]], the kernel of the
+  * local path, against one broadcast of HLH1, `phk2` and FilteredF1, and
+  * returns only frequent patterns and counters. For A-STPM's MI, Spark SQL
   * aggregates the joint symbol counts over D_SYB and
   * [[MutualInformation]] turns them into NMI.
   */
@@ -123,38 +123,37 @@ object SparkSTPM {
   // Phase 2 — distributed mining
   // ------------------------------------------------------------------
 
-  /** E-STPM with the level-2 candidate pair workload fanned out via
-    * `mapPartitions` over a broadcast D_SEQ. Identical results to
-    * [[STPM.mine]] (asserted by the test suite); parallelism defaults to
-    * the cluster's default parallelism.
+  /** E-STPM with the subtrees of the level-2 groups fanned out via
+    * `mapPartitions` over root indices. A task rebuilds its root's level-2
+    * occurrences with [[STPM.minePairData]] instead of receiving them.
+    * Identical results and counters to [[STPM.mine]] (asserted by the test
+    * suite); parallelism defaults to the cluster's default parallelism.
     */
   def mine(spark: SparkSession, db: SeqDB, cfg: STPMConfig,
            parallelism: Int = 0): MiningResult = {
-    val sc = spark.sparkContext
-    val parts = if (parallelism > 0) parallelism else sc.defaultParallelism
-    val bcDb = sc.broadcast(db)
-    val bcCfg = sc.broadcast(cfg)
-    val exec: STPM.Level2Exec = (_, _, pairs) => {
-      if (pairs.isEmpty) Vector.empty
-      else {
-        val indexed = pairs.zipWithIndex.map(_.swap)
-        sc.parallelize(indexed, math.min(parts, pairs.size))
+    val (top, in, level2) = STPM.mineTop(db, cfg, None, None)
+    val roots = level2.ehk.toVector
+    if (cfg.maxK < 3 || roots.isEmpty) top
+    else {
+      val sc = spark.sparkContext
+      val parts = if (parallelism > 0) parallelism else sc.defaultParallelism
+      val bc = sc.broadcast((in, roots))
+      try {
+        val subtrees = sc.parallelize(roots.indices, math.min(parts, roots.size))
           .mapPartitions { it =>
-            val localCfg = bcCfg.value
-            // One HLH1 per partition, rebuilt from the broadcast database —
-            // the per-partition pruned mining kernel of the repro plan.
-            lazy val hlh1 = HLH1.build(bcDb.value, localCfg.season, localCfg.apriori)
-            it.map { case (idx, (e0, e1, sup)) =>
-              (idx, STPM.minePairData(hlh1, e0, e1, sup, localCfg))
+            val (shared, sharedRoots) = bc.value
+            it.map { i =>
+              val (root, entry) = sharedRoots(i)
+              val own = new HLHk(2)
+              STPM.commit(own, STPM.minePairData(shared.hlh1, root(0), root(1), entry.support, shared.cfg),
+                shared.cfg, keepOccs = true)
+              (i, STPM.mineSubtree(shared, own, root))
             }
           }
           .collect()
           .sortBy(_._1)
-          .map(_._2)
-          .toVector
-      }
+        STPM.merge(top, subtrees.iterator.map(_._2))
+      } finally bc.destroy()
     }
-    try STPM.mineFiltered(db, cfg, None, None, Some(exec))
-    finally { bcDb.destroy(); bcCfg.destroy() }
   }
 }

@@ -36,16 +36,14 @@ class HLHSpec extends AnyFunSuite {
   test("entry counts are positive and additive") {
     val h1 = HLH1.build(db, cfg, apriori = true)
     assert(h1.entryCount > 0)
-    val stats = new MiningStats
-    val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
+    val (_, _, h2) = STPM.mineTop(db, Fixtures.stpmCfg, None, None)
     assert(h2.entryCount > 0)
     assert(h2.groups.nonEmpty && h2.patterns.nonEmpty)
   }
 
   test("HLHk pattern events feed the transitivity filter") {
     val h1 = HLH1.build(db, cfg, apriori = true)
-    val stats = new MiningStats
-    val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
+    val (_, _, h2) = STPM.mineTop(db, Fixtures.stpmCfg, None, None)
     val pe = h2.patternEvents(cfg)
     assert(pe.nonEmpty)
     assert(pe.subsetOf(h1.candidates.toSet))
@@ -54,8 +52,7 @@ class HLHSpec extends AnyFunSuite {
 
   test("HLHk support lookups") {
     val h1 = HLH1.build(db, cfg, apriori = true)
-    val stats = new MiningStats
-    val h2 = STPM.mineLevel(db, h1, None, 2, Fixtures.stpmCfg, stats, None)
+    val (_, _, h2) = STPM.mineTop(db, Fixtures.stpmCfg, None, None)
     for (p <- h2.patterns) {
       val sup = h2.support(p)
       assert(sup.nonEmpty && sup == sup.sorted)

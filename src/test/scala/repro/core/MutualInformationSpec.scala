@@ -48,7 +48,8 @@ class MutualInformationSpec extends AnyFunSuite with PropSupport {
   test("NMI is in [0,1]; identical series give 1; constants give 0 (Eq. 5)") {
     val x = s("X", "1", "1", "0", "0")
     assert(math.abs(nmi(x, x) - 1.0) < Tol)
-    assert(nmi(s("C", "a", "a", "a"), x) == 0.0)
+    assert(nmi(s("C", "a", "a", "a", "a"), x) == 0.0)
+    intercept[IllegalArgumentException](nmi(s("C", "a", "a", "a"), x))
     val y = s("Y", "1", "0", "1", "0")
     val v = nmi(x, y)
     assert(v >= 0.0 && v <= 1.0)

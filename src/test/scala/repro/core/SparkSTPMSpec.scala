@@ -115,12 +115,18 @@ class SparkSTPMSpec extends SparkSpec {
     }
   }
 
+  /** Every `MiningStats` field, for equality checks. */
+  private def fields(s: MiningStats) =
+    (s.totalEvents, s.candidateEvents, s.candidateGroups.toMap, s.candidatePatterns.toMap,
+      s.relationChecks, s.occurrences, s.peakEntries)
+
   test("distributed mining equals the local kernel on the paper example") {
     val db = Fixtures.tableIV
     val cfg = Fixtures.stpmCfg.copy(maxK = 3)
     val local = STPM.mine(db, cfg)
     val dist = SparkSTPM.mine(spark, db, cfg, parallelism = 4)
     assert(dist.keys == local.keys)
+    assert(fields(dist.stats) == fields(local.stats))
     val localByKey = local.frequent.map(p => p.key -> p).toMap
     for (p <- dist.frequent) {
       assert(p.support == localByKey(p.key).support)
@@ -135,5 +141,6 @@ class SparkSTPMSpec extends SparkSpec {
     val dist = SparkSTPM.mine(spark, db, cfg, parallelism = 8)
     assert(local.frequent.nonEmpty)
     assert(dist.keys == local.keys)
+    assert(fields(dist.stats) == fields(local.stats))
   }
 }
